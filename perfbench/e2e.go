@@ -343,7 +343,7 @@ func (b *bench) invokeChecked(d *seuss.DistCluster, c call) (seuss.Invocation, b
 	return inv, true
 }
 
-// outputOK checks a driver response string against the call.
+// outputOK checks an invocation's output string against the call.
 func outputOK(c call, out string) bool {
 	var o struct {
 		OK     bool     `json:"ok"`

@@ -1,5 +1,5 @@
 // Command perfbench is the repository benchmark. It builds nothing
-// itself: run.sh builds cmd/seuss-node and this driver from the checkout
+// itself: run.sh builds cmd/seuss-node and this program from the checkout
 // and execs it.
 //
 //	perfbench -node BIN -workdir DIR --workload NAME --seed N --seconds S --trace 0|1
@@ -45,7 +45,7 @@ type result struct {
 type bench struct {
 	nodeBin string
 	workdir string
-	runDir  string // this run's scratch directory under workdir
+	runDir  string // this run's own directory under workdir
 	seed    int64
 	seconds int
 	setups  int // set-ups per run; setup_s is their median
@@ -93,7 +93,7 @@ func (b *bench) unavailable(name, unit, why string) {
 	fmt.Printf("  %-34s %14s %-8s unavailable: %s\n", name, "—", unit, why)
 }
 
-// tempDir makes a fresh directory under this run's scratch directory.
+// tempDir makes a fresh directory under this run's directory.
 func (b *bench) tempDir(prefix string) (string, error) {
 	return os.MkdirTemp(b.runDir, prefix+"-")
 }
@@ -165,7 +165,7 @@ func run(nodeBin, workdir string, w *workload, seed int64, seconds int, traced b
 		err = b.runHTTP(w)
 	}
 	// Run hygiene: every process this run started has been waited for by
-	// now; its scratch directory (snapshot dirs, fabric tiers) must be
+	// now; its run directory (snapshot dirs, fabric tiers) must be
 	// empty of everything but logs.
 	b.checkLeftovers()
 	if err != nil {

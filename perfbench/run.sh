@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Builds cmd/seuss-node and the perfbench driver from the checkout in the
+# Builds cmd/seuss-node and the perfbench program from the checkout in the
 # current directory, then runs one benchmark workload:
 #
 #   bash perfbench/run.sh --workload hot-http --seed 1 --seconds 10 --trace 0
