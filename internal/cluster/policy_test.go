@@ -6,6 +6,7 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/policy"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -32,7 +33,7 @@ func policyTick(t *testing.T, c *Cluster, eng *sim.Engine, at time.Duration) cor
 func TestPolicyScaleToZeroUpdatesSchedulerView(t *testing.T) {
 	c, eng := newCluster(t, Config{
 		Nodes:     2,
-		Policy:    PolicyMigrate,
+		Placer:    &sched.LocalityPlacer{Replicate: true},
 		SnapDir:   t.TempDir(),
 		Lifecycle: policy.FixedKeepAlive{Window: 30 * time.Second},
 	})
@@ -74,7 +75,7 @@ func TestPolicyScaleToZeroUpdatesSchedulerView(t *testing.T) {
 func TestPolicyTickSkipsDownMembers(t *testing.T) {
 	c, eng := newCluster(t, Config{
 		Nodes:     2,
-		Policy:    PolicyMigrate,
+		Placer:    &sched.LocalityPlacer{Replicate: true},
 		SnapDir:   t.TempDir(),
 		Lifecycle: policy.FixedKeepAlive{Window: 30 * time.Second},
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seuss/internal/core"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 )
 
@@ -22,7 +23,7 @@ function main(args) {
 // observe the same RNG stream. Under the stale-seed bug this fails: two
 // fresh deploys from one snapshot replay identical streams.
 func TestFabricFetchClonesDivergeEntropy(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "acct/rand", Source: randSource, Args: "{}"}
 
 	var outputs []string

@@ -9,7 +9,6 @@ import (
 
 	"seuss/internal/mem"
 	"seuss/internal/sim"
-	"seuss/internal/snapshot"
 	"seuss/internal/trace"
 )
 
@@ -478,65 +477,6 @@ func TestGuestTrafficRoutesThroughProxy(t *testing.T) {
 	in, out := n.Proxy().Traffic()
 	if in == 0 || out == 0 {
 		t.Errorf("proxy traffic in=%d out=%d; guest hypercalls not routed", in, out)
-	}
-}
-
-func TestExportAdoptBetweenNodes(t *testing.T) {
-	// Two nodes with identical base images: export a function snapshot
-	// from A, adopt the diff on B, then invoke warm on B.
-	engA := sim.NewEngine()
-	a, err := NewNode(engA, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Key: "mig/fn", Source: nopSource, Args: "{}"}
-	if _, err := invoke(t, a, engA, req); err != nil {
-		t.Fatal(err)
-	}
-	if !a.HasSnapshot("mig/fn") || a.SnapshotDiffBytes("mig/fn") == 0 {
-		t.Fatal("sender missing snapshot")
-	}
-	if !a.HasIdleUC("mig/fn") {
-		t.Fatal("sender missing idle UC")
-	}
-
-	var wire bytes.Buffer
-	if err := a.ExportSnapshot("mig/fn", &wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ExportSnapshot("missing", &wire); err == nil {
-		t.Error("export of missing snapshot succeeded")
-	}
-
-	engB := sim.NewEngine()
-	b, err := NewNode(engB, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := snapshot.Import(&wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engB.Go("adopt", func(p *sim.Proc) {
-		if err := b.AdoptDiff(p, "mig/fn", diff); err != nil {
-			t.Error(err)
-		}
-	})
-	engB.Run()
-	if !b.HasSnapshot("mig/fn") {
-		t.Fatal("receiver missing adopted snapshot")
-	}
-	// The adopted function serves a warm start on B, no source needed
-	// beyond the diff payload.
-	res, err := invoke(t, b, engB, Request{Key: "mig/fn", Args: "{}"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Path != PathWarm {
-		t.Errorf("adopted path = %v, want warm", res.Path)
-	}
-	if !strings.Contains(res.Output, `"ok":true`) {
-		t.Errorf("output = %q", res.Output)
 	}
 }
 

@@ -124,7 +124,7 @@ func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 		// content-addressed tiers; replication fetches missing layers.
 		resF, stF, err := run(trial, cluster.Config{
 			Nodes:   cfg.Nodes,
-			Policy:  cluster.PolicyMigrate,
+			Placer:  &sched.LocalityPlacer{Replicate: true},
 			SnapDir: filepath.Join(cfg.SnapDir, fmt.Sprintf("m%d", m)),
 		})
 		if err != nil {

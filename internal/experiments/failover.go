@@ -9,6 +9,7 @@ import (
 	"seuss/internal/cluster"
 	"seuss/internal/faas"
 	"seuss/internal/metrics"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -99,7 +100,7 @@ func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 	eng := sim.NewEngine()
 	cl, err := cluster.New(eng, cluster.Config{
 		Nodes:      cfg.Nodes,
-		Policy:     cluster.PolicyMigrate,
+		Placer:     &sched.LocalityPlacer{Replicate: true},
 		SnapDir:    cfg.SnapDir,
 		MaxRetries: 3,
 	})

@@ -7,14 +7,11 @@
 //     containers, with the stemcell cache, the container cache limit,
 //     and the bridged network whose broadcast scaling caps it;
 //   - SeussBackend: the drop-in SEUSS OS replacement reached through
-//     the shim process, whose single TCP connection serializes
-//     messages and adds the ≈8 ms hop of §6; and
-//   - SeussPoolBackend: the same shim front door over a sharded,
-//     shared-nothing node pool (internal/shardpool) instead of a
-//     single node; and
-//   - SeussDistBackend: the shim front door over a multi-node
-//     DR-SEUSS cluster (internal/cluster) with scheduler-driven,
-//     snapshot-locality-aware placement.
+//     the shim process, whose TCP connection serializes messages and
+//     adds the ≈8 ms hop of §6. One shim front door serves three
+//     compute shapes: a single node, a sharded shared-nothing node pool
+//     (internal/shardpool), and a multi-node DR-SEUSS cluster
+//     (internal/cluster) with snapshot-locality-aware placement.
 //
 // Both satisfy workload.Invoker, so every macro experiment runs
 // unmodified against either.
@@ -212,56 +209,40 @@ func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 
 // ---- SEUSS backend ----
 
-// SeussBackend fronts a SEUSS OS compute node with the shim process of
-// §6: requests are read from the message bus by the shim and forwarded
-// over its single TCP connection into the VM.
+// SeussBackend fronts SEUSS compute with the shim process of §6:
+// requests are read from the message bus by the shim and forwarded over
+// its TCP connection into the VM. The constructors differ only in what
+// serves the request behind the shim and in how many connections (lanes)
+// the shim has.
 type SeussBackend struct {
-	node *core.Node
-	shim *sim.Resource
-	rng  *sim.RNG
-	// Deadline, when set, bounds every invocation this backend serves:
-	// it is threaded through core.Request into the interpreter's step
-	// budget, so a runaway guest is killed (and its UC destroyed)
-	// instead of wedging the node. Zero defers to the node's own
-	// InvokeDeadline.
-	Deadline time.Duration
+	name   string
+	shim   *sim.Resource
+	rng    *sim.RNG
+	invoke func(p *sim.Proc, req core.Request) error
 }
 
-// NewSeussBackend wraps a node.
-func NewSeussBackend(node *core.Node) *SeussBackend {
+func newSeussBackend(eng *sim.Engine, name string, lanes int, invoke func(*sim.Proc, core.Request) error) *SeussBackend {
 	return &SeussBackend{
-		node: node,
-		shim: sim.NewResource(node.Engine(), 1),
-		rng:  sim.NewRNG(0x5E05),
+		name:   name,
+		shim:   sim.NewResource(eng, lanes),
+		rng:    sim.NewRNG(0x5E05),
+		invoke: invoke,
 	}
 }
 
-// Node returns the underlying compute node.
-func (b *SeussBackend) Node() *core.Node { return b.node }
-
-// Name implements Backend.
-func (b *SeussBackend) Name() string { return "seuss" }
-
-// Invoke implements Backend: the shim's single connection serializes
-// message transfer (the Table 3 creation-rate bottleneck) and the extra
-// hop adds ≈8 ms to the round trip (§7's 21% at small set sizes).
-func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
-	b.shim.Acquire(p)
-	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
-	b.shim.Release()
-	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	_, err := b.node.Invoke(p, core.Request{
-		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
+// NewSeussBackend fronts a single compute node over one shim
+// connection.
+func NewSeussBackend(node *core.Node) *SeussBackend {
+	return newSeussBackend(node.Engine(), "seuss", 1, func(p *sim.Proc, req core.Request) error {
+		_, err := node.Invoke(p, req)
+		return err
 	})
-	return err
 }
 
-// ---- SEUSS sharded-pool backend ----
-
-// SeussPoolBackend fronts a sharded node pool (internal/shardpool)
-// instead of a single node: the same shim-process front door, but the
-// compute side fans out across shared-nothing shards, so the invoker
-// no longer serializes on one engine.
+// NewSeussPoolBackend fronts a sharded node pool (internal/shardpool):
+// the same shim front door, but the compute side fans out across
+// shared-nothing shards, so the invoker no longer serializes on one
+// engine.
 //
 // Bridge semantics: the platform's virtual clock and the pool's
 // per-shard virtual clocks are distinct. An invocation crosses the
@@ -270,102 +251,44 @@ func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) erro
 // is then charged to the platform task as a Sleep. Platform-level
 // determinism therefore holds only for the overheads and the per-shard
 // latencies, not for cross-shard interleaving.
-type SeussPoolBackend struct {
-	pool *shardpool.Pool
-	shim *sim.Resource
-	rng  *sim.RNG
-	// Deadline, when set, bounds every invocation (see
-	// SeussBackend.Deadline).
-	Deadline time.Duration
-}
-
-// NewSeussPoolBackend wraps a pool for platform use.
-func NewSeussPoolBackend(eng *sim.Engine, pool *shardpool.Pool) *SeussPoolBackend {
-	return &SeussPoolBackend{
-		pool: pool,
-		shim: sim.NewResource(eng, 1),
-		rng:  sim.NewRNG(0x5E05),
-	}
-}
-
-// Pool returns the underlying shard pool.
-func (b *SeussPoolBackend) Pool() *shardpool.Pool { return b.pool }
-
-// Name implements Backend.
-func (b *SeussPoolBackend) Name() string { return "seuss-pool" }
-
-// Invoke implements Backend: shim serialization and hop as for the
-// single-node backend, then the pool serves the request and its
-// shard-side virtual latency is charged to the platform clock.
-func (b *SeussPoolBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
-	b.shim.Acquire(p)
-	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
-	b.shim.Release()
-	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	res, err := b.pool.Invoke(core.Request{
-		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
+func NewSeussPoolBackend(eng *sim.Engine, pool *shardpool.Pool) *SeussBackend {
+	return newSeussBackend(eng, "seuss-pool", 1, func(p *sim.Proc, req core.Request) error {
+		res, err := pool.Invoke(req)
+		if err != nil {
+			return err
+		}
+		p.Sleep(res.Latency)
+		return nil
 	})
-	if err != nil {
+}
+
+// NewSeussDistBackend fronts a multi-node DR-SEUSS cluster
+// (internal/cluster), with placement across nodes delegated to the
+// cluster's scheduler — locality-aware routing over the gossiped
+// snapshot directory, and replication by layer fetch when a holder
+// saturates. The cluster must share the platform's engine. Each member
+// node runs its own shim process, so the front door has one
+// serialization lane per member.
+func NewSeussDistBackend(eng *sim.Engine, c *cluster.Cluster) *SeussBackend {
+	return newSeussBackend(eng, "seuss-dist", max(len(c.Members()), 1), func(p *sim.Proc, req core.Request) error {
+		_, _, err := c.Invoke(p, req)
 		return err
-	}
-	p.Sleep(res.Latency)
-	return nil
+	})
 }
-
-// ---- SEUSS distributed-cluster backend ----
-
-// SeussDistBackend fronts a multi-node DR-SEUSS cluster
-// (internal/cluster): the same shim-process front door, with placement
-// across nodes delegated to the cluster's scheduler — locality-aware
-// routing over the gossiped snapshot directory, and replication by
-// layer fetch or diff migration when a holder saturates.
-type SeussDistBackend struct {
-	cluster *cluster.Cluster
-	shim    *sim.Resource
-	rng     *sim.RNG
-	// Deadline, when set, bounds every invocation (see
-	// SeussBackend.Deadline).
-	Deadline time.Duration
-}
-
-// NewSeussDistBackend wraps a cluster for platform use. The cluster
-// must share the platform's engine. Unlike the single-node backends,
-// each member node runs its own shim process, so the front door has
-// one serialization lane per member.
-func NewSeussDistBackend(eng *sim.Engine, c *cluster.Cluster) *SeussDistBackend {
-	lanes := len(c.Members())
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &SeussDistBackend{
-		cluster: c,
-		shim:    sim.NewResource(eng, lanes),
-		rng:     sim.NewRNG(0x5E05),
-	}
-}
-
-// Cluster returns the underlying node cluster.
-func (b *SeussDistBackend) Cluster() *cluster.Cluster { return b.cluster }
-
-// MemberStates reports every member's lifecycle state — front doors
-// surface it next to their health endpoints.
-func (b *SeussDistBackend) MemberStates() []cluster.MemberInfo { return b.cluster.MemberStates() }
 
 // Name implements Backend.
-func (b *SeussDistBackend) Name() string { return "seuss-dist" }
+func (b *SeussBackend) Name() string { return b.name }
 
-// Invoke implements Backend: shim serialization and hop as for the
-// single-node backend, then the cluster scheduler places and serves the
-// request.
-func (b *SeussDistBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
+// Invoke implements Backend: the shim's connections serialize message
+// transfer (the Table 3 creation-rate bottleneck) and the extra hop
+// adds ≈8 ms to the round trip (§7's 21% at small set sizes); then the
+// compute behind the shim serves the request.
+func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 	b.shim.Acquire(p)
 	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
 	b.shim.Release()
 	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	_, _, err := b.cluster.Invoke(p, core.Request{
-		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
-	})
-	return err
+	return b.invoke(p, core.Request{Key: spec.Key, Source: spec.Source, Args: args})
 }
 
 // ---- Linux backend ----

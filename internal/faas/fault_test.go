@@ -86,19 +86,19 @@ func TestPlatformRetryAsyncActivation(t *testing.T) {
 	}
 }
 
-// TestBackendDeadlineKillsRunawayGuest: the platform-level deadline is
-// threaded through the backend into the interpreter's step budget; a
-// spinning guest is killed and the platform records a failure instead
-// of hanging the whole simulated node.
+// TestBackendDeadlineKillsRunawayGuest: the node's invocation deadline
+// bounds guest execution behind the backend; a spinning guest is killed
+// and the platform records a failure instead of hanging the whole
+// simulated node.
 func TestBackendDeadlineKillsRunawayGuest(t *testing.T) {
 	eng := sim.NewEngine()
-	node, err := core.NewNode(eng, core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	cfg.InvokeDeadline = 2 * time.Millisecond
+	node, err := core.NewNode(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewSeussBackend(node)
-	backend.Deadline = 2 * time.Millisecond
-	c := NewCluster(eng, backend)
+	c := NewCluster(eng, NewSeussBackend(node))
 	spec := workload.Spec{
 		Key:    "user/spin",
 		Source: `function main(args) { while (true) { var x = 1; } }`,

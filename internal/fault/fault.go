@@ -39,8 +39,9 @@ const (
 	// UC is destroyed, never recycled, and the caller sees a contained
 	// error it may retry against a fresh snapshot deploy.
 	PointUCCrash Point = "uc-crash"
-	// PointSnapshotCorrupt corrupts a snapshot diff on the wire
-	// (cluster migrate): decode fails and the holder serves instead.
+	// PointSnapshotCorrupt corrupts a snapshot layer on the wire
+	// (cluster layer fetch): verification fails and the holder serves
+	// instead.
 	PointSnapshotCorrupt Point = "snapshot-corrupt"
 	// PointShardStall stalls a compute shard (shardpool serve): the
 	// request is requeued to a healthy shard and the stall counts

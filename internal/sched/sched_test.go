@@ -48,8 +48,9 @@ func TestLocalityPlacerColdSpreads(t *testing.T) {
 }
 
 // TestLocalityPlacerOverloadReplicates: an overloaded holder triggers
-// migration (no fabric) or a layer fetch (fabric on both ends) to the
-// least-loaded node; without Replicate it keeps routing.
+// a layer fetch to the least-loaded node when both ends run the fabric;
+// without a fabric, or without Replicate, it keeps routing to the
+// holder.
 func TestLocalityPlacerOverloadReplicates(t *testing.T) {
 	v := NewView(2)
 	v.MarkResident(0, "fn")
@@ -61,8 +62,8 @@ func TestLocalityPlacerOverloadReplicates(t *testing.T) {
 	}
 
 	rep := &LocalityPlacer{Replicate: true}
-	if pl := rep.Place(Request{Key: "fn", Lineage: "fn/fn", Nodes: st, View: v}); pl.Action != ActionMigrate || pl.Node != 1 || pl.Holder != 0 {
-		t.Fatalf("no-fabric placement = %+v, want migrate 0 -> 1", pl)
+	if pl := rep.Place(Request{Key: "fn", Lineage: "fn/fn", Nodes: st, View: v}); pl.Action != ActionRoute || pl.Node != 0 || pl.Holder != 0 {
+		t.Fatalf("no-fabric placement = %+v, want route to 0", pl)
 	}
 
 	v.SetFabric(0, true)
@@ -108,8 +109,8 @@ func TestLocalityPlacerSkipsUnhealthy(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedPlacerIgnoresLocality: the baseline arm never fetches
-// or migrates; a node it picks that has served the key before routes to
+// TestLeastLoadedPlacerIgnoresLocality: the baseline arm never
+// fetches; a node it picks that has served the key before routes to
 // itself, anything else is a fresh cold.
 func TestLeastLoadedPlacerIgnoresLocality(t *testing.T) {
 	v := NewView(2)

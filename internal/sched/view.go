@@ -227,7 +227,7 @@ func (v *View) Generation() int64 {
 }
 
 // MarkResident records that a node now holds a function snapshot (a
-// successful serve, fetch, or migration).
+// successful serve or fetch).
 func (v *View) MarkResident(node int, key string) {
 	v.mu.Lock()
 	v.nodes[node].resident[key] = true

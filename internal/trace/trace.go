@@ -47,11 +47,10 @@ const (
 	KindEvict   Kind = "evict"
 	KindDemote  Kind = "demote"  // snapshot written to the disk tier
 	KindPromote Kind = "promote" // snapshot restored from the disk tier
-	KindMigrate Kind = "migrate"
-	KindFault   Kind = "fault"  // injected or contained failure
-	KindGossip  Kind = "gossip" // scheduler manifest exchange round
-	KindFetch   Kind = "fetch"  // content-addressed layer transfer
-	KindStale   Kind = "stale"  // stale directory entry pruned
+	KindFault   Kind = "fault"   // injected or contained failure
+	KindGossip  Kind = "gossip"  // scheduler manifest exchange round
+	KindFetch   Kind = "fetch"   // content-addressed layer transfer
+	KindStale   Kind = "stale"   // stale directory entry pruned
 
 	KindCrash    Kind = "crash"    // member crashed, partitioned, or declared dead
 	KindFailover Kind = "failover" // invocation re-picked off an unreachable member

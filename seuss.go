@@ -672,17 +672,6 @@ func Summarize(samples []time.Duration) metrics.Summary {
 
 // ---- DR-SEUSS (distributed snapshot cache, the paper's §9) ----
 
-// DistPolicy selects how the distributed cache exploits remote holders.
-type DistPolicy = cluster.Policy
-
-// Distributed cache policies.
-const (
-	// PolicyRoute forwards requests to a snapshot holder.
-	PolicyRoute = cluster.PolicyRoute
-	// PolicyMigrate replicates snapshot diffs across the fabric.
-	PolicyMigrate = cluster.PolicyMigrate
-)
-
 // DistConfig parameterizes a DR-SEUSS deployment.
 type DistConfig = cluster.Config
 
@@ -695,10 +684,10 @@ type DistStats = cluster.Stats
 type Placer = sched.Placer
 
 // LocalityPlacer is the default policy: route to the least-loaded
-// snapshot holder, fall back to lukewarm tier holders, and — once
-// every holder is saturated past Slack — replicate by fetching only
-// the missing layers over the fabric (or migrating the whole diff
-// when Replicate is set without a fabric).
+// snapshot holder and fall back to lukewarm tier holders. With
+// Replicate set, once every holder is saturated past Slack, it
+// replicates by fetching only the missing layers over the fabric
+// (DistConfig.SnapDir); without a fabric it keeps routing.
 type LocalityPlacer = sched.LocalityPlacer
 
 // LeastLoadedPlacer ignores snapshot locality entirely — the

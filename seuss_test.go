@@ -231,7 +231,7 @@ func TestFacadeAccessorsAndDistCluster(t *testing.T) {
 		t.Error("NewTrace")
 	}
 
-	dc, err := s.NewDistCluster(DistConfig{Nodes: 2, Policy: PolicyMigrate})
+	dc, err := s.NewDistCluster(DistConfig{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
